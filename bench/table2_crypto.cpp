@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     // Batch verification at a typical f+1 certificate tally (k = 8):
     // total and amortized per-signature cost under the analytic batch
     // model (ECDSA amortizes shared point arithmetic; RSA and HMAC
-    // barely improve — the ordering argument the pipeline exploits).
+    // barely improve).
     constexpr std::size_t kBatch = 8;
     const double batch_j = energy::batch_verify_energy_mj(scheme, kBatch) /
                            1000.0;

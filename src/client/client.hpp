@@ -15,7 +15,7 @@
 #include "src/client/stats.hpp"
 #include "src/client/workload.hpp"
 #include "src/crypto/signer.hpp"
-#include "src/crypto/workers.hpp"
+#include "src/crypto/verify_memo.hpp"
 #include "src/energy/meter.hpp"
 #include "src/net/channel.hpp"
 #include "src/net/flood.hpp"
@@ -68,9 +68,10 @@ struct ClientConfig {
   /// Deterministic profiler (src/obs/prof.hpp): client-side crypto /
   /// codec counters and request sampling. Not owned; may be nullptr.
   prof::Profiler* profiler = nullptr;
-  /// Speculative verification pipeline (src/crypto/workers.hpp) used for
-  /// reply-signature verifies. Not owned; may be nullptr (verify inline).
-  crypto::VerifyPipeline* pipeline = nullptr;
+  /// Cluster-wide verification memo (src/crypto/verify_memo.hpp) used
+  /// for reply-signature verifies. Not owned; may be nullptr (every
+  /// check runs).
+  crypto::VerifyMemo* memo = nullptr;
   /// Tracer the sampled-request flow events go to. Not owned.
   obs::Tracer* tracer = nullptr;
 };

@@ -38,8 +38,6 @@ Options parse_cli(int argc, char** argv, std::uint64_t default_seed) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
       o.threads = static_cast<std::size_t>(parse_u64(arg, need_value(i, arg)));
-    } else if (arg == "--workers") {
-      o.workers = static_cast<std::size_t>(parse_u64(arg, need_value(i, arg)));
     } else if (arg == "--smoke") {
       o.smoke = true;
     } else if (arg == "--seed") {
@@ -59,7 +57,7 @@ Options parse_cli(int argc, char** argv, std::uint64_t default_seed) {
       o.write_json = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--threads N] [--workers N] [--smoke] [--seed S]\n"
+          "usage: %s [--threads N] [--smoke] [--seed S]\n"
           "          [--json-out PATH] [--csv-out PATH] [--no-json]\n"
           "          [--prom-out PATH] [--trace-out PATH]\n"
           "          [--trace-requests K]\n",
@@ -88,9 +86,8 @@ Experiment::Experiment(std::string name, std::string paper_ref, int argc,
   std::printf("================================================================\n");
   // Thread count is execution detail, not data: stderr only, so stdout
   // stays byte-identical across --threads values.
-  std::fprintf(stderr, "[%s] threads=%zu workers=%zu seed=%llu\n",
-               name_.c_str(), threads(), opts_.workers,
-               static_cast<unsigned long long>(opts_.seed));
+  std::fprintf(stderr, "[%s] threads=%zu seed=%llu\n", name_.c_str(),
+               threads(), static_cast<unsigned long long>(opts_.seed));
 }
 
 std::size_t Experiment::threads() const {
@@ -137,7 +134,6 @@ Report& Experiment::run(std::string section, const Grid& grid,
 
   RunnerOptions ro;
   ro.threads = threads();
-  ro.workers = opts_.workers;
   ro.seed = opts_.seed;
   ro.smoke = opts_.smoke;
   ro.trace_requests = opts_.trace_requests;
@@ -153,6 +149,19 @@ Report& Experiment::run(std::string section, const Grid& grid,
   report->name = std::move(section);
   report->grid = grid;
   report->rows = run_matrix(grid, fn, ro);
+  for (std::size_t i = 0; i < report->rows.size(); ++i) {
+    const MetricRow& row = report->rows[i];
+    if (!row.contains(kErrorColumn)) continue;
+    ++failed_points_;
+    std::string params;
+    const std::vector<std::string> labels = report->labels(i);
+    for (std::size_t a = 0; a < labels.size(); ++a) {
+      params += (a == 0 ? "" : ",") + grid.axes()[a].name + "=" + labels[a];
+    }
+    std::fprintf(stderr, "[%s] FAILED %s/run%zu {%s}: %s\n", name_.c_str(),
+                 report->name.c_str(), i, params.c_str(),
+                 row.at(kErrorColumn).as_string().c_str());
+  }
   if (collect) artifacts_.push_back(std::move(sa));
   sections_.push_back(std::move(report));
   return *sections_.back();
@@ -175,6 +184,7 @@ int Experiment::finish() {
   // aborts on these; this catches benches that never ran a grid.)
   if (report_unknown_args()) return 2;
 
+  int rc = failed_points_ > 0 ? 3 : 0;
   Json doc = Json::object();
   doc.set("bench", name_);
   doc.set("paper_ref", paper_ref_);
@@ -184,7 +194,6 @@ int Experiment::finish() {
   for (const auto& s : sections_) sections.push_back(s->to_json());
   doc.set("sections", std::move(sections));
 
-  int rc = 0;
   if (opts_.write_json) {
     const std::string path =
         opts_.json_out.empty() ? "BENCH_" + name_ + ".json" : opts_.json_out;

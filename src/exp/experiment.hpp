@@ -11,10 +11,6 @@
 //
 // Shared flags (every bench accepts them):
 //   --threads N    worker threads for the run matrix (default: min(8, cores))
-//   --workers N    crypto verification workers per cluster (default 0 =
-//                  inline pipeline). Speculative signature checks run on
-//                  N pool threads; results join in scheduler event
-//                  order, so all outputs stay byte-identical to N=0.
 //   --smoke        trimmed-down grids/durations for CI smoke runs
 //   --seed S       base seed; each run derives its own via sim::derive_seed
 //   --json-out P   metrics file path (default: BENCH_<name>.json in cwd)
@@ -32,6 +28,10 @@
 // Determinism contract: with a fixed seed, stdout and the JSON/CSV/
 // Prometheus/trace files are byte-identical at any --threads value.
 // Everything thread- or wall-clock-dependent goes to stderr.
+//
+// A grid point that throws fails only its own row: the row carries the
+// error text (exp::kErrorColumn) next to its params, every other row is
+// still written, and finish() returns non-zero.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,6 @@ namespace eesmr::exp {
 
 struct Options {
   std::size_t threads = 0;  ///< 0 = default_threads()
-  std::size_t workers = 0;  ///< crypto pipeline workers per cluster
   bool smoke = false;
   std::uint64_t seed = 1;
   std::string json_out;     ///< empty = BENCH_<name>.json
@@ -102,7 +101,8 @@ class Experiment {
 
   /// Write BENCH_<name>.json (+ CSV when requested). Returns the
   /// process exit code: 0 on success, 1 when writing failed, 2 when
-  /// the command line carried arguments no one recognized.
+  /// the command line carried arguments no one recognized, 3 when a
+  /// grid point failed (its row holds the error; the rest were written).
   int finish();
 
  private:
@@ -117,6 +117,8 @@ class Experiment {
   /// flags); the rest are typos run()/finish() report.
   mutable std::vector<std::string> recognized_extra_;
   bool serial_only_ = false;
+  /// Grid points whose run threw (reported to stderr by run()).
+  std::size_t failed_points_ = 0;
   std::vector<std::unique_ptr<Report>> sections_;
 
   /// Per-section observability artifacts (one slot per grid point),

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <mutex>
 #include <thread>
 
 #include "src/sim/rng.hpp"
@@ -30,14 +29,19 @@ std::vector<MetricRow> run_matrix(const Grid& grid, const RunFn& fn,
     ctx.seed = sim::derive_seed(opts.seed, i);
     ctx.smoke = opts.smoke;
     ctx.trace_requests = opts.trace_requests;
-    ctx.workers = opts.workers;
     ctx.grid = &grid;
     ctx.axis = grid.indices(i);
     if (opts.artifacts != nullptr) {
       if (opts.collect_registry) ctx.registry = &(*opts.artifacts)[i].registry;
       if (opts.collect_trace) ctx.tracer = &(*opts.artifacts)[i].tracer;
     }
-    rows[i] = fn(ctx);
+    try {
+      rows[i] = fn(ctx);
+    } catch (const std::exception& e) {
+      rows[i] = MetricRow().set(kErrorColumn, e.what());
+    } catch (...) {
+      rows[i] = MetricRow().set(kErrorColumn, "unknown exception");
+    }
     if (ctx.registry != nullptr) {
       // Every scalar column of the row, so analytic benches (no Cluster,
       // nothing observe()d) still expose their measurements.
@@ -59,18 +63,11 @@ std::vector<MetricRow> run_matrix(const Grid& grid, const RunFn& fn,
   }
 
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
   const auto worker = [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      try {
-        run_one(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
+      run_one(i);
     }
   };
 
@@ -78,7 +75,6 @@ std::vector<MetricRow> run_matrix(const Grid& grid, const RunFn& fn,
   pool.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
   return rows;
 }
 

@@ -246,34 +246,19 @@ bool ReplicaBase::verify_msg(const Msg& m) {
     return false;
   }
   const Bytes preimage = m.preimage();
-  bool ok;
-  if (aggregate_certs() && certificate_bound(m.type)) {
-    // Share check: priced as a one-signer aggregate verification.
-    charge(energy::Category::kVerify, energy::agg_verify_energy_mj(1));
-    prof_crypto("verify", site_of(m.type));
-    if (cfg_.pipeline != nullptr) {
-      ok = cfg_.pipeline->join(
-          crypto::verify_key(m.author, preimage, m.sig),
-          [&] { return cfg_.agg->verify_share(m.author, preimage, m.sig); });
-    } else {
-      ok = cfg_.agg->verify_share(m.author, preimage, m.sig);
-    }
-  } else {
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", site_of(m.type));
-    if (cfg_.pipeline != nullptr) {
-      // Resolve through the pipeline: a frame speculated at transmit time
-      // (or verified by this node via an earlier join) is a cache hit and
-      // costs no host-side crypto here. The metered charge above is the
-      // simulation's energy model and is unchanged either way.
-      ok = cfg_.pipeline->join(
-          crypto::verify_key(m.author, preimage, m.sig),
-          [&] { return cfg_.keyring->verify(m.author, preimage, m.sig); });
-    } else {
-      ok = cfg_.keyring->verify(m.author, preimage, m.sig);
-    }
-  }
+  // A share check is priced as a one-signer aggregate verification.
+  const bool share = aggregate_certs() && certificate_bound(m.type);
+  charge(energy::Category::kVerify,
+         share ? energy::agg_verify_energy_mj(1)
+               : energy::verify_energy_mj(cfg_.keyring->scheme()));
+  prof_crypto("verify", site_of(m.type));
+  // The metered charge above is the simulation's energy model; the memo
+  // only spares the host a check another receiver already ran.
+  const bool ok =
+      crypto::memo_verify(cfg_.memo, m.author, preimage, m.sig, [&] {
+        return share ? cfg_.agg->verify_share(m.author, preimage, m.sig)
+                     : cfg_.keyring->verify(m.author, preimage, m.sig);
+      });
   if (ok && cfg_.verified_cache && certificate_bound(m.type)) {
     sig_verified_.emplace(sig_digest(m.author, preimage, m.sig),
                           committed_height_);
@@ -284,50 +269,18 @@ bool ReplicaBase::verify_msg(const Msg& m) {
 bool ReplicaBase::check_sigs(
     const Bytes& preimage, const std::vector<std::pair<NodeId, Bytes>>& sigs,
     const std::vector<std::size_t>& idx) {
-  if (cfg_.pipeline == nullptr) {
-    for (std::size_t i : idx) {
-      if (!cfg_.keyring->verify(sigs[i].first, preimage, sigs[i].second)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  // Split into checks the speculation cache already answers (the
-  // original vote frames carried the same (author, preimage, sig)
-  // triples) and a residue worth batching across the pool.
-  std::vector<std::size_t> unknown;
-  bool all_ok = true;
   for (std::size_t i : idx) {
-    bool r = false;
-    if (cfg_.pipeline->try_join(
-            crypto::verify_key(sigs[i].first, preimage, sigs[i].second),
-            &r)) {
-      all_ok = all_ok && r;
-    } else {
-      unknown.push_back(i);
+    const NodeId author = sigs[i].first;
+    const Bytes& sig = sigs[i].second;
+    // The original vote frames carried the same triples, so a tally
+    // usually hits the memo.
+    if (!crypto::memo_verify(cfg_.memo, author, preimage, sig, [&] {
+          return cfg_.keyring->verify(author, preimage, sig);
+        })) {
+      return false;
     }
   }
-  if (!unknown.empty()) {
-    std::vector<crypto::VerifyFn> fns;
-    fns.reserve(unknown.size());
-    for (std::size_t i : unknown) {
-      fns.push_back([this, &preimage, &sigs, i] {
-        return cfg_.keyring->verify(sigs[i].first, preimage, sigs[i].second);
-      });
-    }
-    // Batch with fallback-to-individual: the per-item verdicts pinpoint
-    // any forged signature, so a failed batch degrades to exactly the
-    // serial path's per-signature decision, not a retry.
-    const std::vector<char> verdicts = cfg_.pipeline->verify_batch(fns);
-    for (std::size_t j = 0; j < unknown.size(); ++j) {
-      const std::size_t i = unknown[j];
-      cfg_.pipeline->publish(
-          crypto::verify_key(sigs[i].first, preimage, sigs[i].second),
-          verdicts[j] != 0);
-      all_ok = all_ok && verdicts[j] != 0;
-    }
-  }
-  return all_ok;
+  return true;
 }
 
 crypto::Sha256Digest ReplicaBase::agg_cert_digest(
@@ -603,13 +556,9 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
             charge(energy::Category::kVerify,
                    energy::verify_energy_mj(cfg_.keyring->scheme()));
             prof_crypto("verify", "request");
-            if (cfg_.pipeline != nullptr) {
-              valid = cfg_.pipeline->join(
-                  crypto::verify_key(req->client, req->preimage(), req->sig),
-                  [&] { return req->verify(*cfg_.keyring); });
-            } else {
-              valid = req->verify(*cfg_.keyring);
-            }
+            valid = crypto::memo_verify(
+                cfg_.memo, req->client, req->preimage(), req->sig,
+                [&] { return req->verify(*cfg_.keyring); });
           }
         }
         if (!valid) {
@@ -810,33 +759,18 @@ void ReplicaBase::handle_checkpoint(const Msg& msg) {
   }
   if (cp.id.height <= ckpt_.stable_height()) return;
   const Bytes preimage = cp.id.preimage();
-  bool ok;
-  if (aggregate_certs()) {
-    // Share-signed attestation (folds into the checkpoint certificate).
-    charge(energy::Category::kVerify, energy::agg_verify_energy_mj(1));
-    prof_crypto("verify", "checkpoint");
-    if (cfg_.pipeline != nullptr) {
-      ok = cfg_.pipeline->join(crypto::verify_key(msg.author, preimage,
-                                                  cp.sig),
-                               [&] {
-                                 return cfg_.agg->verify_share(
-                                     msg.author, preimage, cp.sig);
-                               });
-    } else {
-      ok = cfg_.agg->verify_share(msg.author, preimage, cp.sig);
-    }
-  } else {
-    charge(energy::Category::kVerify,
-           energy::verify_energy_mj(cfg_.keyring->scheme()));
-    prof_crypto("verify", "checkpoint");
-    if (cfg_.pipeline != nullptr) {
-      ok = cfg_.pipeline->join(
-          crypto::verify_key(msg.author, preimage, cp.sig),
-          [&] { return cfg_.keyring->verify(msg.author, preimage, cp.sig); });
-    } else {
-      ok = cfg_.keyring->verify(msg.author, preimage, cp.sig);
-    }
-  }
+  // Under the aggregate scheme the attestation is share-signed (it folds
+  // into the checkpoint certificate).
+  const bool share = aggregate_certs();
+  charge(energy::Category::kVerify,
+         share ? energy::agg_verify_energy_mj(1)
+               : energy::verify_energy_mj(cfg_.keyring->scheme()));
+  prof_crypto("verify", "checkpoint");
+  const bool ok =
+      crypto::memo_verify(cfg_.memo, msg.author, preimage, cp.sig, [&] {
+        return share ? cfg_.agg->verify_share(msg.author, preimage, cp.sig)
+                     : cfg_.keyring->verify(msg.author, preimage, cp.sig);
+      });
   if (!ok) return;
   // Remember the attestation: a checkpoint certificate tallied later
   // (state transfer, snapshot push) re-carries this exact signature.
@@ -1205,16 +1139,11 @@ void ReplicaBase::handle_request(const Msg& m) {
   charge(energy::Category::kVerify,
          energy::verify_energy_mj(cfg_.keyring->scheme()));
   prof_crypto("verify", "request");
-  bool sig_ok;
-  if (cfg_.pipeline != nullptr) {
-    // Every replica pools the same flooded request: one physical check
-    // of the embedded client signature serves the whole cluster.
-    sig_ok = cfg_.pipeline->join(
-        crypto::verify_key(req->client, req->preimage(), req->sig),
-        [&] { return req->verify(*cfg_.keyring); });
-  } else {
-    sig_ok = req->verify(*cfg_.keyring);
-  }
+  // Every replica pools the same flooded request: one physical check
+  // of the embedded client signature serves the whole cluster.
+  const bool sig_ok =
+      crypto::memo_verify(cfg_.memo, req->client, req->preimage(), req->sig,
+                          [&] { return req->verify(*cfg_.keyring); });
   if (!sig_ok) {
     ++bad_sigs_[req->client];
     return;

@@ -1,11 +1,13 @@
 // Experiment-engine tests: deterministic-parallel execution (same seed
-// => byte-identical Report JSON at --threads 1/4/8), grid expansion
-// order, per-run seed derivation, the ordered-JSON layer, and the
-// RunResult serialization round-trip.
+// => byte-identical Report JSON at --threads 1/4/8), a throwing grid
+// point failing only its own row, grid expansion order, per-run seed
+// derivation, the ordered-JSON layer, and the RunResult serialization
+// round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -189,17 +191,67 @@ TEST(Runner, ResultsCommitInGridOrderRegardlessOfFinishOrder) {
   }
 }
 
-TEST(Runner, ExceptionsPropagateToCaller) {
+TEST(Runner, ThrowingPointBecomesFailedRowAtAnyThreadCount) {
   Grid grid;
-  grid.axis(exp::Axis::of("i", std::vector<int>{0, 1, 2, 3}));
-  RunnerOptions ro;
-  ro.threads = 2;
-  EXPECT_THROW(
-      exp::run_matrix(grid, [](const RunContext& c) -> MetricRow {
-        if (c.index == 2) throw std::runtime_error("boom");
-        return MetricRow{};
-      }, ro),
-      std::runtime_error);
+  grid.axis(exp::Axis::of("i", std::vector<int>{0, 1, 2, 3, 4, 5}));
+  const auto fn = [](const RunContext& c) -> MetricRow {
+    if (c.index == 2) throw std::runtime_error("boom at 2");
+    if (c.index == 4) throw 7;  // not a std::exception
+    MetricRow row;
+    row.set("index", c.index);
+    return row;
+  };
+  const auto report = [&](std::size_t threads) {
+    RunnerOptions ro;
+    ro.threads = threads;
+    Report rep;
+    rep.name = "robust";
+    rep.grid = grid;
+    rep.rows = exp::run_matrix(grid, fn, ro);
+    return rep;
+  };
+  const Report serial = report(1);
+  ASSERT_EQ(serial.rows.size(), 6u);
+  for (const std::size_t i : {0u, 1u, 3u, 5u}) {
+    EXPECT_FALSE(serial.rows[i].contains(exp::kErrorColumn)) << i;
+    EXPECT_EQ(serial.rows[i].number("index"), static_cast<double>(i));
+  }
+  EXPECT_EQ(serial.rows[2].at(exp::kErrorColumn).as_string(), "boom at 2");
+  EXPECT_EQ(serial.rows[4].at(exp::kErrorColumn).as_string(),
+            "unknown exception");
+  // The failed row keeps its params in the serialized report.
+  const Json doc = serial.to_json();
+  EXPECT_EQ(doc.at("rows").at(2).at("params").at("i").as_string(), "2");
+  EXPECT_EQ(serial.to_json().pretty(), report(4).to_json().pretty());
+}
+
+TEST(Experiment, FailedPointWritesOtherRowsAndExitsNonZero) {
+  const auto run_bench = [](const std::string& threads) {
+    const std::string path =
+        ::testing::TempDir() + "exp_failed_point_" + threads + ".json";
+    const char* argv[] = {"bench", "--threads", threads.c_str(),
+                          "--json-out", path.c_str()};
+    exp::Experiment ex("failed_point", "test", 5, const_cast<char**>(argv));
+    Grid grid;
+    grid.axis("p", {"ok", "bad", "ok2"});
+    (void)ex.run("main", grid, [](const RunContext& c) -> MetricRow {
+      if (c.label("p") == "bad") throw std::invalid_argument("bad point");
+      MetricRow row;
+      row.set("value", c.index * 10);
+      return row;
+    });
+    EXPECT_EQ(ex.finish(), 3);
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string text = run_bench("1");
+  const Json rows = Json::parse(text).at("sections").at(0).at("rows");
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows.at(0).at("metrics").at("value").as_double(), 0.0);
+  EXPECT_EQ(rows.at(1).at("params").at("p").as_string(), "bad");
+  EXPECT_EQ(rows.at(1).at("metrics").at("error").as_string(), "bad point");
+  EXPECT_EQ(rows.at(2).at("metrics").at("value").as_double(), 20.0);
+  EXPECT_EQ(run_bench("4"), text);
 }
 
 // ---------------------------------------------------------------------------
