@@ -1,142 +1,38 @@
 #include "src/exp/record.hpp"
 
+#include <type_traits>
+#include <vector>
+
 #include "src/obs/metrics.hpp"
 
 namespace eesmr::exp {
 
 Json summary_json(const harness::RunSummary& s) {
   Json j = Json::object();
-  j.set("nodes", s.nodes);
-  j.set("safety_ok", Json(s.safety_ok));
-  j.set("min_committed", s.min_committed);
-  j.set("max_committed", s.max_committed);
-  j.set("view_changes", s.view_changes);
-  j.set("transmissions", s.transmissions);
-  j.set("bytes_transmitted", s.bytes_transmitted);
-  j.set("end_time_s", s.end_time_s);
-  j.set("total_energy_mj", s.total_energy_mj);
-  j.set("energy_per_block_mj", s.energy_per_block_mj);
-  j.set("requests_submitted", s.requests_submitted);
-  j.set("requests_accepted", s.requests_accepted);
-  j.set("request_retransmissions", s.request_retransmissions);
-  j.set("requests_dropped", s.requests_dropped);
-  j.set("requests_rate_limited", s.requests_rate_limited);
-  j.set("request_failovers", s.request_failovers);
-  j.set("requests_forwarded", s.requests_forwarded);
-  j.set("request_hints_applied", s.request_hints_applied);
-  j.set("controller_dedup_saved", s.controller_dedup_saved);
-  j.set("controller_dedup_bytes_saved", s.controller_dedup_bytes_saved);
-  j.set("accepted_per_sec", s.accepted_per_sec);
-  j.set("latency_samples", s.latency_samples);
-  j.set("latency_p50_ms", s.latency_p50_ms);
-  j.set("latency_p90_ms", s.latency_p90_ms);
-  j.set("latency_p99_ms", s.latency_p99_ms);
-  j.set("latency_mean_ms", s.latency_mean_ms);
-  j.set("state_transfers", s.state_transfers);
-  j.set("max_recovery_ms", s.max_recovery_ms);
-  j.set("max_retained_log", s.max_retained_log);
-  j.set("max_dedup_entries", s.max_dedup_entries);
-  j.set("max_store_blocks", s.max_store_blocks);
-  j.set("max_checkpoints_taken", s.max_checkpoints_taken);
-  j.set("safety_violations", s.safety_violations);
-  j.set("liveness_ok", Json(s.liveness_ok));
-  j.set("max_commit_stall_ms", s.max_commit_stall_ms);
-  j.set("faults_dropped", s.faults_dropped);
-  j.set("faults_duplicated", s.faults_duplicated);
-  j.set("faults_reordered", s.faults_reordered);
-  j.set("msgs_withheld", s.msgs_withheld);
-  j.set("byz_requests_sent", s.byz_requests_sent);
-  j.set("adversary_energy_mj", s.adversary_energy_mj);
-  // Membership / certificate-scheme keys only on runs that used them,
-  // so legacy records round-trip byte-identically.
-  if (s.membership_changes != 0) {
-    j.set("membership_changes", s.membership_changes);
-  }
-  if (s.membership_generation != 0) {
-    j.set("membership_generation", s.membership_generation);
-  }
-  if (s.acceptance_certs != 0) j.set("acceptance_certs", s.acceptance_certs);
+  harness::RunSummary::for_each_field(
+      s, [&](const harness::MetricField& f, const auto& v) {
+        if (!f.omitted(static_cast<double>(v))) j.set(f.key, Json(v));
+      });
   return j;
 }
 
 harness::RunSummary summary_from_json(const Json& doc) {
   const Json& j = doc.contains("summary") ? doc.at("summary") : doc;
   harness::RunSummary s;
-  s.nodes = static_cast<std::size_t>(j.at("nodes").as_int());
-  s.safety_ok = j.at("safety_ok").as_bool();
-  s.min_committed = static_cast<std::uint64_t>(j.at("min_committed").as_int());
-  s.max_committed = static_cast<std::uint64_t>(j.at("max_committed").as_int());
-  s.view_changes = static_cast<std::uint64_t>(j.at("view_changes").as_int());
-  s.transmissions = static_cast<std::uint64_t>(j.at("transmissions").as_int());
-  s.bytes_transmitted =
-      static_cast<std::uint64_t>(j.at("bytes_transmitted").as_int());
-  s.end_time_s = j.at("end_time_s").as_double();
-  s.total_energy_mj = j.at("total_energy_mj").as_double();
-  s.energy_per_block_mj = j.at("energy_per_block_mj").as_double();
-  s.requests_submitted =
-      static_cast<std::uint64_t>(j.at("requests_submitted").as_int());
-  s.requests_accepted =
-      static_cast<std::uint64_t>(j.at("requests_accepted").as_int());
-  s.request_retransmissions =
-      static_cast<std::uint64_t>(j.at("request_retransmissions").as_int());
-  s.requests_dropped =
-      static_cast<std::uint64_t>(j.at("requests_dropped").as_int());
-  s.requests_rate_limited =
-      static_cast<std::uint64_t>(j.at("requests_rate_limited").as_int());
-  s.request_failovers =
-      static_cast<std::uint64_t>(j.at("request_failovers").as_int());
-  s.requests_forwarded =
-      static_cast<std::uint64_t>(j.at("requests_forwarded").as_int());
-  s.request_hints_applied =
-      static_cast<std::uint64_t>(j.at("request_hints_applied").as_int());
-  s.controller_dedup_saved =
-      static_cast<std::uint64_t>(j.at("controller_dedup_saved").as_int());
-  s.controller_dedup_bytes_saved = static_cast<std::uint64_t>(
-      j.at("controller_dedup_bytes_saved").as_int());
-  s.accepted_per_sec = j.at("accepted_per_sec").as_double();
-  s.latency_samples =
-      static_cast<std::uint64_t>(j.at("latency_samples").as_int());
-  s.latency_p50_ms = j.at("latency_p50_ms").as_double();
-  s.latency_p90_ms = j.at("latency_p90_ms").as_double();
-  s.latency_p99_ms = j.at("latency_p99_ms").as_double();
-  s.latency_mean_ms = j.at("latency_mean_ms").as_double();
-  s.state_transfers =
-      static_cast<std::uint64_t>(j.at("state_transfers").as_int());
-  s.max_recovery_ms = j.at("max_recovery_ms").as_double();
-  s.max_retained_log =
-      static_cast<std::size_t>(j.at("max_retained_log").as_int());
-  s.max_dedup_entries =
-      static_cast<std::size_t>(j.at("max_dedup_entries").as_int());
-  s.max_store_blocks =
-      static_cast<std::size_t>(j.at("max_store_blocks").as_int());
-  s.max_checkpoints_taken =
-      static_cast<std::uint64_t>(j.at("max_checkpoints_taken").as_int());
-  s.safety_violations =
-      static_cast<std::uint64_t>(j.at("safety_violations").as_int());
-  s.liveness_ok = j.at("liveness_ok").as_bool();
-  s.max_commit_stall_ms = j.at("max_commit_stall_ms").as_double();
-  s.faults_dropped =
-      static_cast<std::uint64_t>(j.at("faults_dropped").as_int());
-  s.faults_duplicated =
-      static_cast<std::uint64_t>(j.at("faults_duplicated").as_int());
-  s.faults_reordered =
-      static_cast<std::uint64_t>(j.at("faults_reordered").as_int());
-  s.msgs_withheld = static_cast<std::uint64_t>(j.at("msgs_withheld").as_int());
-  s.byz_requests_sent =
-      static_cast<std::uint64_t>(j.at("byz_requests_sent").as_int());
-  s.adversary_energy_mj = j.at("adversary_energy_mj").as_double();
-  if (j.contains("membership_changes")) {
-    s.membership_changes =
-        static_cast<std::uint64_t>(j.at("membership_changes").as_int());
-  }
-  if (j.contains("membership_generation")) {
-    s.membership_generation =
-        static_cast<std::uint64_t>(j.at("membership_generation").as_int());
-  }
-  if (j.contains("acceptance_certs")) {
-    s.acceptance_certs =
-        static_cast<std::uint64_t>(j.at("acceptance_certs").as_int());
-  }
+  harness::RunSummary::for_each_field(
+      s, [&](const harness::MetricField& f, auto& v) {
+        using T = std::remove_reference_t<decltype(v)>;
+        if (f.emit == harness::MetricField::Emit::kNonZero &&
+            !j.contains(f.key)) {
+          return;
+        }
+        const Json& x = j.at(f.key);
+        if constexpr (std::is_same_v<T, bool>) {
+          v = x.as_bool();
+        } else {
+          v = static_cast<T>(x.as_double());
+        }
+      });
   return s;
 }
 
@@ -183,41 +79,29 @@ Json node_energy_from_registry(const obs::Registry& reg) {
   return node_mj;
 }
 
-/// footprints array from the `eesmr_footprint_*` families, node order.
-/// (flood_dedup_tail stays registry-only: the JSON record predates it and
-/// tooling round-trips the historical key set.)
+/// footprints array from the `eesmr_footprint_*` families, node order:
+/// one object per node holding the footprint table's JSON fields.
 Json footprints_from_registry(const obs::Registry& reg) {
+  std::vector<Json> nodes;
+  const harness::ReplicaFootprint columns;
+  harness::ReplicaFootprint::for_each_field(
+      columns, [&](const harness::MetricField& f, const auto&) {
+        const obs::Family* fam = reg.find(f.family);
+        if (f.emit == harness::MetricField::Emit::kRegistryOnly ||
+            fam == nullptr) {
+          return;
+        }
+        nodes.resize(fam->samples.size(), Json::object());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+          nodes[i].set(f.key, fam->samples[i].value);
+        }
+      });
   Json fps = Json::array();
-  const obs::Family* retained = reg.find("eesmr_footprint_retained_log");
-  if (retained == nullptr) return fps;
-  for (const obs::Sample& s : retained->samples) {
-    const auto fp = [&](const char* name) {
-      return reg.value(name, s.labels);
-    };
-    Json one = Json::object();
-    one.set("retained_log", s.value);
-    one.set("store_blocks", fp("eesmr_footprint_store_blocks"));
-    one.set("executed_entries", fp("eesmr_footprint_executed_entries"));
-    one.set("mempool_pending", fp("eesmr_footprint_mempool_pending"));
-    one.set("mempool_committed_keys",
-            fp("eesmr_footprint_mempool_committed_keys"));
-    one.set("committed_blocks", fp("eesmr_footprint_committed_blocks"));
-    one.set("low_water_mark", fp("eesmr_footprint_low_water_mark"));
-    one.set("checkpoints_taken", fp("eesmr_footprint_checkpoints_taken"));
-    one.set("stable_height", fp("eesmr_footprint_stable_height"));
-    one.set("state_transfers", fp("eesmr_footprint_state_transfers"));
-    fps.push_back(std::move(one));
-  }
+  for (Json& one : nodes) fps.push_back(std::move(one));
   return fps;
 }
 
 }  // namespace
-
-Json stream_json(const harness::RunResult& r) {
-  obs::Registry reg;
-  r.to_registry(reg);
-  return streams_from_registry(reg);
-}
 
 Json run_result_json(const harness::RunResult& r) {
   obs::Registry reg;

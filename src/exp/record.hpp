@@ -1,6 +1,8 @@
 // Serialization of harness run measurements into exp::Json — the bridge
 // between the simulator's RunResult and the structured BENCH_*.json /
-// CSV output of the experiment engine.
+// CSV output of the experiment engine. The summary and footprint
+// sections are loops over the field tables of src/harness/metrics.hpp:
+// a JSON key is declared there, once, next to its registry family.
 #pragma once
 
 #include "src/exp/json.hpp"
@@ -9,17 +11,15 @@
 
 namespace eesmr::exp {
 
-/// Flat summary record (harness::RunSummary) as an ordered JSON object.
+/// Flat summary record (harness::RunSummary) as an ordered JSON object,
+/// keys in field-table order; kNonZero fields are omitted while zero.
 Json summary_json(const harness::RunSummary& s);
 
-/// Per-stream radio breakdown over correct nodes (clients included):
-/// {"proposal": {"send_mj": ..., "recv_mj": ..., "tx": ...,
-///  "bytes_sent": ..., "bytes_received": ...}, ...}. Streams with no
-/// traffic are omitted.
-Json stream_json(const harness::RunResult& r);
-
 /// Full serialized RunResult: {"summary": ..., "streams": ...,
-/// "node_energy_mj": [...], "footprints": [...]}. Round-trippable
+/// "node_energy_mj": [...], "footprints": [...]}. "streams" is the
+/// per-stream radio breakdown over correct nodes (clients included),
+/// {"proposal": {"send_mj", "recv_mj", "tx", "bytes_sent",
+/// "bytes_received"}, ...}, with silent streams omitted. Round-trippable
 /// through Json::parse (see tests/exp_test.cpp). Every section is read
 /// back out of one obs::Registry snapshot (RunResult::to_registry) — the
 /// registry is the single source the record derives from.

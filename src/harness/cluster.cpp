@@ -27,118 +27,6 @@ const char* protocol_name(Protocol p) {
 }
 
 // ---------------------------------------------------------------------------
-// RunResult
-// ---------------------------------------------------------------------------
-
-bool RunResult::safety_ok() const {
-  // Compare committed blocks per *height* across correct nodes: with
-  // checkpoint truncation the retained logs are suffixes starting at
-  // different offsets, so positional comparison would misalign.
-  std::map<std::uint64_t, const smr::Block*> canon;
-  for (std::size_t a = 0; a < logs.size(); ++a) {
-    if (!correct[a]) continue;
-    for (const smr::Block& b : logs[a]) {
-      const auto [it, fresh] = canon.try_emplace(b.height, &b);
-      if (!fresh && !(*it->second == b)) return false;
-    }
-  }
-  return true;
-}
-
-std::uint64_t RunResult::committed_at(NodeId id) const {
-  if (id < committed_blocks.size()) return committed_blocks[id];
-  return logs.at(id).size();
-}
-
-std::size_t RunResult::min_committed() const {
-  std::size_t best = SIZE_MAX;
-  for (std::size_t i = 0; i < logs.size(); ++i) {
-    if (correct[i] && counted[i]) {
-      best = std::min<std::size_t>(
-          best, committed_at(static_cast<NodeId>(i)));
-    }
-  }
-  return best == SIZE_MAX ? 0 : best;
-}
-
-std::size_t RunResult::max_committed() const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < logs.size(); ++i) {
-    if (correct[i] && counted[i]) {
-      best = std::max<std::size_t>(
-          best, committed_at(static_cast<NodeId>(i)));
-    }
-  }
-  return best;
-}
-
-std::size_t RunResult::max_retained_log() const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < footprints.size(); ++i) {
-    if (correct[i] && counted[i]) {
-      best = std::max(best, footprints[i].retained_log);
-    }
-  }
-  return best;
-}
-
-std::size_t RunResult::max_dedup_entries() const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < footprints.size(); ++i) {
-    if (correct[i] && counted[i]) {
-      best = std::max(best, footprints[i].dedup_entries());
-    }
-  }
-  return best;
-}
-
-double RunResult::accepted_per_sec() const {
-  const double secs = sim::to_seconds(end_time);
-  return secs <= 0 ? 0.0
-                   : static_cast<double>(requests_accepted) / secs;
-}
-
-energy::StreamStats RunResult::stream_totals(energy::Stream s) const {
-  energy::StreamStats out;
-  for (std::size_t i = 0; i < meters.size(); ++i) {
-    if (i < correct.size() && correct[i] && i < counted.size() && counted[i]) {
-      out += meters[i].stream(s);
-    }
-  }
-  return out;
-}
-
-energy::StreamStats RunResult::stream_totals_all(energy::Stream s) const {
-  energy::StreamStats out;
-  for (std::size_t i = 0; i < meters.size(); ++i) {
-    if (i < correct.size() && correct[i]) out += meters[i].stream(s);
-  }
-  return out;
-}
-
-double RunResult::total_energy_mj() const {
-  double total = 0;
-  for (std::size_t i = 0; i < meters.size(); ++i) {
-    if (correct[i] && counted[i]) total += meters[i].total_millijoules();
-  }
-  return total;
-}
-
-double RunResult::energy_per_block_mj() const {
-  const std::size_t blocks = min_committed();
-  return blocks == 0 ? 0.0 : total_energy_mj() / static_cast<double>(blocks);
-}
-
-double RunResult::node_energy_mj(NodeId id) const {
-  return meters.at(id).total_millijoules();
-}
-
-double RunResult::node_energy_per_block_mj(NodeId id) const {
-  const std::uint64_t blocks = committed_at(id);
-  return blocks == 0 ? 0.0 : node_energy_mj(id) / static_cast<double>(blocks);
-}
-
-// ---------------------------------------------------------------------------
 // Cluster
 // ---------------------------------------------------------------------------
 

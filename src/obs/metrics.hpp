@@ -3,10 +3,12 @@
 //
 // This is the uniform metric surface over the simulator's existing
 // meters: harness::RunResult registers everything it measures here
-// (RunResult::to_registry), RunSummary is *derived from* the registry
-// (harness::summary_from_registry) instead of hand-plumbed field by
-// field, and any bench run can expose the whole registry as Prometheus
-// text (`--prom-out`) or a JSON snapshot.
+// (RunResult::to_registry). The flat `eesmr_run_*` and
+// `eesmr_footprint_*` families are loops over the field tables of
+// src/harness/metrics.hpp, which declare each run scalar's family, kind
+// and HELP text once (harness::summary_from_registry reads them back),
+// and any bench run can expose the whole registry as Prometheus text
+// (`--prom-out`) or a JSON snapshot.
 //
 // Determinism contract (the same one the experiment engine holds):
 // families expose in registration order, samples in registration order,

@@ -16,7 +16,7 @@ std::uint32_t Tracer::open_epoch(const std::string& label) {
 }
 
 void Tracer::push(TraceEvent ev) {
-  if (trace_.enabled()) {
+  if (text_sink_) {
     std::string line = ev.name;
     if (ev.ph == 'b') line += " begin";
     if (ev.ph == 'e') line += " end";
@@ -28,8 +28,7 @@ void Tracer::push(TraceEvent ev) {
       line += " #" + std::to_string(ev.id);
     }
     for (const auto& [k, v] : ev.args) line += " " + k + "=" + v.dump();
-    trace_.emit(ev.ts, sim::TraceLevel::kDebug,
-                sim::TraceCtx{ev.node, ev.cat}, line);
+    text_sink_(ev, line);
   }
   events_.push_back(std::move(ev));
 }

@@ -1,26 +1,28 @@
-// Structured event/span layer over sim::Trace, exported as Chrome
-// trace-event JSON (openable in Perfetto / chrome://tracing).
+// Structured event/span layer, exported as Chrome trace-event JSON
+// (openable in Perfetto / chrome://tracing), with an optional live text
+// mirror.
 //
 // The commit path (propose -> vote -> certify -> commit), view changes,
 // checkpoints, state transfers and injected faults emit typed events
 // here. Each Cluster opens one *epoch* (one Chrome "process"); nodes map
 // to Chrome threads; block and view-change lifetimes are async spans
-// keyed by height / view number. Every event is simultaneously mirrored
-// through the owned sim::Trace as a human-readable line, so attaching
-// Trace::stderr_sink() gives a live textual feed of the same stream.
+// keyed by height / view number. With a text sink attached
+// (Tracer::set_text_sink) every event is also handed to the sink as one
+// human-readable line while it is recorded: a live textual feed of the
+// same stream.
 //
 // SimTime is already integer microseconds — exactly Chrome's `ts` unit —
 // so timestamps pass through untouched.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/exp/json.hpp"
 #include "src/sim/time.hpp"
-#include "src/sim/trace.hpp"
 
 namespace eesmr::obs {
 
@@ -84,9 +86,13 @@ class Tracer {
   [[nodiscard]] bool empty() const { return events_.empty(); }
   void clear();
 
-  /// The mirroring text trace; attach sim::Trace::stderr_sink() (or any
-  /// sink) to see events as lines while they happen.
-  [[nodiscard]] sim::Trace& text_trace() { return trace_; }
+  /// Text mirror: receives each event with its line, "<name>[ begin|
+  /// end|flow-begin|flow-step|flow-end][ #<id>][ <arg>=<json>...]", as
+  /// it is recorded. An empty sink (the default) detaches the mirror and
+  /// skips building the line.
+  using TextSink =
+      std::function<void(const TraceEvent&, const std::string& line)>;
+  void set_text_sink(TextSink sink) { text_sink_ = std::move(sink); }
 
   /// Append this tracer's events to a Chrome traceEvents array. Each
   /// epoch becomes one Chrome process starting at pid `first_pid`, named
@@ -105,7 +111,7 @@ class Tracer {
   std::vector<std::string> epoch_labels_{""};
   std::uint32_t epoch_ = 0;
   bool epoch0_claimed_ = false;
-  sim::Trace trace_;
+  TextSink text_sink_;
 };
 
 }  // namespace eesmr::obs

@@ -1,8 +1,9 @@
 // Experiment-engine tests: deterministic-parallel execution (same seed
 // => byte-identical Report JSON at --threads 1/4/8), a throwing grid
 // point failing only its own row, grid expansion order, per-run seed
-// derivation, the ordered-JSON layer, and the RunResult serialization
-// round-trip.
+// derivation, the ordered-JSON layer, the RunResult serialization
+// round-trip, and every RunSummary field surviving the registry and JSON
+// forms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include "src/exp/record.hpp"
 #include "src/exp/run_helpers.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/harness/metrics.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/rng.hpp"
 
 namespace eesmr {
@@ -316,6 +319,98 @@ TEST(Record, SummaryJsonIsStableUnderRerun) {
         .pretty();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// Every RunSummary field set by hand to a distinct non-default value.
+/// The list is independent of the field table, so a member the table
+/// misses comes back at its default and fails the round trips below.
+harness::RunSummary distinct_summary() {
+  harness::RunSummary s;
+  s.nodes = 1;
+  s.safety_ok = false;
+  s.min_committed = 2;
+  s.max_committed = 3;
+  s.view_changes = 4;
+  s.transmissions = 5;
+  s.bytes_transmitted = 6;
+  s.end_time_s = 7.1;
+  s.total_energy_mj = 8.2;
+  s.energy_per_block_mj = 9.3;
+  s.requests_submitted = 10;
+  s.requests_accepted = 11;
+  s.request_retransmissions = 12;
+  s.requests_dropped = 13;
+  s.requests_rate_limited = 14;
+  s.request_failovers = 15;
+  s.requests_forwarded = 16;
+  s.request_hints_applied = 17;
+  s.controller_dedup_saved = 18;
+  s.controller_dedup_bytes_saved = 19;
+  s.accepted_per_sec = 20.4;
+  s.latency_samples = 21;
+  s.latency_p50_ms = 22.5;
+  s.latency_p90_ms = 23.6;
+  s.latency_p99_ms = 24.7;
+  s.latency_mean_ms = 25.8;
+  s.state_transfers = 26;
+  s.max_recovery_ms = 27.9;
+  s.max_retained_log = 28;
+  s.max_dedup_entries = 29;
+  s.max_store_blocks = 30;
+  s.max_checkpoints_taken = 31;
+  s.safety_violations = 32;
+  s.liveness_ok = false;
+  s.max_commit_stall_ms = 33.1;
+  s.faults_dropped = 34;
+  s.faults_duplicated = 35;
+  s.faults_reordered = 36;
+  s.msgs_withheld = 37;
+  s.byz_requests_sent = 38;
+  s.adversary_energy_mj = 39.2;
+  s.membership_changes = 40;
+  s.membership_generation = 41;
+  s.acceptance_certs = 42;
+  return s;
+}
+
+TEST(Record, SummaryRoundTripsEveryFieldThroughRegistryAndJson) {
+  const harness::RunSummary s = distinct_summary();
+  ASSERT_NE(s, harness::RunSummary{});
+
+  obs::Registry reg;
+  harness::summary_to_registry(s, reg);
+  EXPECT_EQ(harness::summary_from_registry(reg), s);
+  const obs::Labels base = {{"section", "a"}, {"run", "3"}};
+  obs::Registry labeled;
+  harness::summary_to_registry(s, labeled, base);
+  EXPECT_EQ(harness::summary_from_registry(labeled, base), s);
+
+  const Json j = exp::summary_json(s);
+  EXPECT_EQ(exp::summary_from_json(j), s);
+  EXPECT_EQ(exp::summary_from_json(Json::parse(j.pretty())), s);
+  // One registry family per JSON key: both forms come from one table.
+  EXPECT_EQ(j.size(), reg.families().size());
+}
+
+TEST(Record, MembershipFieldsAbsentWhileZero) {
+  harness::RunSummary s = distinct_summary();
+  s.membership_changes = 0;
+  s.membership_generation = 0;
+  s.acceptance_certs = 0;
+
+  obs::Registry reg;
+  harness::summary_to_registry(s, reg);
+  EXPECT_EQ(reg.find("eesmr_run_membership_changes_total"), nullptr);
+  EXPECT_EQ(reg.find("eesmr_run_membership_generation"), nullptr);
+  EXPECT_EQ(reg.find("eesmr_run_acceptance_certs_total"), nullptr);
+  EXPECT_EQ(harness::summary_from_registry(reg), s);
+
+  const Json j = exp::summary_json(s);
+  EXPECT_FALSE(j.contains("membership_changes"));
+  EXPECT_FALSE(j.contains("membership_generation"));
+  EXPECT_FALSE(j.contains("acceptance_certs"));
+  EXPECT_EQ(exp::summary_from_json(j), s);
+  EXPECT_EQ(j.size(), reg.families().size());
 }
 
 // ---------------------------------------------------------------------------

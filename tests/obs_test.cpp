@@ -372,9 +372,8 @@ TEST(Trace, ChromeDocumentIsValid) {
 TEST(Trace, TextMirrorFeedsSink) {
   obs::Tracer tracer;
   std::vector<std::string> lines;
-  tracer.text_trace().set_sink([&](sim::SimTime, sim::TraceLevel,
-                                   const sim::TraceCtx& ctx,
-                                   const std::string& msg) {
+  tracer.set_text_sink([&](const obs::TraceEvent& ctx,
+                           const std::string& msg) {
     lines.push_back(std::string(ctx.cat ? ctx.cat : "?") + ": " + msg);
   });
   traced_run(tracer, 5, harness::Protocol::kEesmr);
