@@ -15,10 +15,6 @@ using trusted::Attestation;
 using trusted::AttestationTracker;
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
-
 /// Counter gap beyond which a receiver stops holding back and re-baselines
 /// (deep lag after a crash; see AttestationTracker::set_max_gap).
 constexpr std::uint64_t kMaxCounterGap = 64;
@@ -230,7 +226,7 @@ void MinBftReplica::handle_propose(NodeId from, const Msg& msg) {
 
 void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
                                     const Block& b, const Attestation& att) {
-  const BlockHash h = b.hash();
+  const BlockHash h = att.digest;  // the caller checked it binds `b`
   // Content equivocation at successive counters: every correct replica
   // processes proposals in counter order (admission + caller-side
   // holdback drain), so all accept the first block for this height and
@@ -253,7 +249,7 @@ void MinBftReplica::accept_proposal(NodeId from, const Msg& msg,
   // The primary's attested prepare counts as its commit.
   tally_commit(att.node, h);
   if (att.node == cfg_.id) return;  // the primary does not send kCommit
-  if (!commit_sent_.insert(hkey(h)).second) return;
+  if (!commit_sent_.insert(h).second) return;
   if (tracing()) {
     trace_begin("block", "block", b.height,
                 {{"round", exp::Json(b.round)}, {"view", exp::Json(b.view)}});
@@ -300,14 +296,14 @@ void MinBftReplica::handle_commit_msg(NodeId from, const Msg& msg) {
 }
 
 void MinBftReplica::tally_commit(NodeId author, const BlockHash& h) {
-  auto& authors = commit_authors_[hkey(h)];
+  auto& authors = commit_authors_[h];
   if (!authors.insert(author).second) return;
   if (authors.size() >= quorum()) try_commit(h);
 }
 
 void MinBftReplica::try_commit(const BlockHash& h) {
   if (!store_.contains(h) || !store_.extends(h, committed_tip())) {
-    pending_commit_.insert(hkey(h));
+    pending_commit_.insert(h);
     return;
   }
   const Block* b = store_.get(h);
@@ -428,6 +424,7 @@ void MinBftReplica::handle_view_change(const Msg& msg) {
   // One correct replica is among any f+1 requesters: join them.
   if (bucket.size() >= cfg_.f + 1 && msg.view > vc_target_) {
     send_view_change(msg.view);
+    if (msg.view <= v_cur_) return;  // enter_view erased `bucket`
   }
   if (bucket.size() >= quorum()) maybe_announce_new_view(msg.view);
 }
@@ -469,9 +466,10 @@ void MinBftReplica::maybe_announce_new_view(std::uint64_t target) {
   broadcast(nv);
   if (have_chosen) {
     store_.add(chosen);
+    const BlockHash h = chosen.hash();
     if (chosen.height > accepted_height_ &&
-        store_.extends(chosen.hash(), committed_tip())) {
-      accepted_tip_ = chosen.hash();
+        store_.extends(h, committed_tip())) {
+      accepted_tip_ = h;
       accepted_height_ = chosen.height;
     }
   }
@@ -486,9 +484,9 @@ void MinBftReplica::handle_new_view(NodeId from, const Msg& msg) {
     if (r.boolean()) {
       const Block b = Block::decode(r.bytes());
       (void)integrate_block(b, from);
-      if (b.height > accepted_height_ &&
-          store_.extends(b.hash(), committed_tip())) {
-        accepted_tip_ = b.hash();
+      const BlockHash h = b.hash();
+      if (b.height > accepted_height_ && store_.extends(h, committed_tip())) {
+        accepted_tip_ = h;
         accepted_height_ = b.height;
       }
     }
@@ -534,14 +532,13 @@ void MinBftReplica::on_chain_connected(const Block& block) {
   retry.swap(retry_);
   for (const Msg& m : retry) handle(m.author, m);
   const BlockHash h = block.hash();
-  if (pending_commit_.erase(hkey(h)) > 0) try_commit(h);
+  if (pending_commit_.erase(h) > 0) try_commit(h);
 }
 
 void MinBftReplica::on_low_water(const Block& root) {
   seen_.erase(seen_.begin(), seen_.upper_bound(root.height));
   for (auto it = commit_authors_.begin(); it != commit_authors_.end();) {
-    const BlockHash h(it->first.begin(), it->first.end());
-    const Block* b = store_.get(h);
+    const Block* b = store_.get(it->first);
     if (b != nullptr && b->height <= root.height) {
       commit_sent_.erase(it->first);
       pending_commit_.erase(it->first);

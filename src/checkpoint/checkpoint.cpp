@@ -246,7 +246,7 @@ std::optional<CheckpointCert> CheckpointManager::add_signature(
     drop_author_vote(author, seat->second);
   }
   author_height_[author] = id.height;
-  auto& votes = tallies_[id.height][to_string(id.encode())];
+  auto& votes = tallies_[id.height][id.encode()];
   votes.emplace_back(author, sig);
   if (votes.size() < quorum_) return std::nullopt;
 

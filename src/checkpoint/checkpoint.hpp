@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -235,8 +234,8 @@ class CheckpointManager {
   /// height -> encoded CheckpointId -> collected (author, sig) pairs.
   /// Bounded to one live vote per author (author_height_ tracks the
   /// seat), so Byzantine height floods cannot grow it past n entries.
-  std::map<std::uint64_t, std::map<std::string,
-                                   std::vector<std::pair<NodeId, Bytes>>>>
+  std::map<std::uint64_t,
+           std::map<Bytes, std::vector<std::pair<NodeId, Bytes>>, BytesLess>>
       tallies_;
   std::map<NodeId, std::uint64_t> author_height_;
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,24 @@ inline Bytes to_bytes(const std::string& s) {
 inline std::string to_string(BytesView v) {
   return std::string(v.begin(), v.end());
 }
+
+/// Comparator and hasher for Bytes keys. Both view the bytes as a
+/// std::string_view, whose order and hash are std::string's, so Bytes
+/// keys iterate like string copies. (std::less<Bytes> orders the same
+/// but trips GCC 12 -Wstringop-overread false positives at -O2.)
+inline std::string_view as_chars(BytesView v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size()};
+}
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const noexcept {
+    return as_chars(a) < as_chars(b);
+  }
+};
+struct BytesHasher {
+  std::size_t operator()(const Bytes& b) const noexcept {
+    return std::hash<std::string_view>{}(as_chars(b));
+  }
+};
 
 /// Stamp `v` little-endian into the first min(8, size) bytes of `buf`.
 /// Shared by the synthetic workload generators to keep fixed-size

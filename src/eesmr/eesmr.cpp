@@ -14,10 +14,6 @@ using smr::MsgType;
 using smr::QuorumCert;
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
-
 /// Round gap beyond which try_accept re-anchors on a live proposal
 /// instead of buffering (deep-lag catch-up without checkpoints). Kept
 /// above any gap ordinary pipelining or within-Δ reordering can produce
@@ -240,11 +236,11 @@ void EesmrReplica::arm_commit_timer(const BlockHash& h) {
   const auto id =
       sched_.after(4 * cfg_.delta, "commit_timer",
                    [this, h] { commit_timeout(h); });
-  commit_timers_[hkey(h)] = id;
+  commit_timers_[h] = id;
 }
 
 void EesmrReplica::commit_timeout(const BlockHash& h) {
-  commit_timers_.erase(hkey(h));
+  commit_timers_.erase(h);
   // An offline replica (crash/recover, chase-the-leader) must not commit
   // on a timer armed before it went down: equivocation evidence or a view
   // change may have passed it by, so the commit could be a private fork.

@@ -3,9 +3,7 @@
 // its parent blocks, it will request them from the sender", §3.2).
 #pragma once
 
-#include <map>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +11,8 @@
 
 namespace eesmr::smr {
 
+/// A block's identity is its BlockHash. The store derives it once, on
+/// insert, and answers every ancestry query by comparing stored keys.
 class BlockStore {
  public:
   /// Starts containing the genesis block.
@@ -66,15 +66,9 @@ class BlockStore {
   [[nodiscard]] std::size_t orphan_count() const { return orphans_.size(); }
 
  private:
-  struct Key {
-    std::string bytes;  // hash as map key
-  };
-  std::unordered_map<std::string, Block> blocks_;
-  std::unordered_map<std::string, Block> orphans_;
-
-  static std::string key(const BlockHash& h) {
-    return std::string(h.begin(), h.end());
-  }
+  // Bucket order reaches the simulation via adopt_orphans/deepest_orphan.
+  std::unordered_map<BlockHash, Block, BytesHasher> blocks_;
+  std::unordered_map<BlockHash, Block, BytesHasher> orphans_;
 };
 
 }  // namespace eesmr::smr

@@ -10,9 +10,6 @@
 namespace eesmr::smr {
 
 namespace {
-std::string hkey(const BlockHash& h) {
-  return std::string(h.begin(), h.end());
-}
 /// Cap on blocks per SyncResponse (a Byzantine peer can request often;
 /// the per-response size must stay bounded).
 constexpr std::size_t kMaxSyncBlocks = 64;
@@ -176,19 +173,17 @@ void ReplicaBase::prof_flow_block(const char* name, const Block& b,
                                   energy::Stream s, std::size_t frame_bytes) {
   prof::Profiler* p = cfg_.profiler;
   if (p == nullptr || !p->tracing_requests() || b.cmds.empty()) return;
-  auto cached = prof_block_cache_.find(hkey(b.hash()));
-  if (cached == prof_block_cache_.end()) {
-    std::vector<std::pair<NodeId, std::uint64_t>> sampled;
+  auto [cached, miss] = prof_block_cache_.try_emplace(b.hash());
+  if (miss) {
+    cached->second.height = b.height;
     for (const Command& cmd : b.cmds) {
       const auto req = ClientRequest::decode(cmd.data);
       if (req.has_value() && p->is_sampled(req->client, req->req_id)) {
-        sampled.push_back({req->client, req->req_id});
+        cached->second.requests.push_back({req->client, req->req_id});
       }
     }
-    cached = prof_block_cache_.emplace(hkey(b.hash()), std::move(sampled))
-                 .first;
   }
-  for (const auto& [client, req_id] : cached->second) {
+  for (const auto& [client, req_id] : cached->second.requests) {
     prof_flow(name, client, req_id);
     if (frame_bytes > 0) {
       p->attribute(client, req_id, s, frame_bytes, 1, b.cmds.size());
@@ -464,7 +459,7 @@ bool ReplicaBase::integrate_block(const Block& block, NodeId origin) {
   if (store_.add(block)) return true;
   store_.add_orphan(block);
   // Request the missing ancestry once per parent hash.
-  if (sync_requested_.insert(hkey(block.parent)).second) {
+  if (sync_requested_.insert(block.parent).second) {
     if (sync_started_ == 0) sync_started_ = sched_.now();
     Msg req = make_msg(MsgType::kSyncRequest, r_cur_, block.parent);
     send(origin, req);
@@ -476,7 +471,9 @@ void ReplicaBase::on_chain_connected(const Block&) {}
 
 void ReplicaBase::commit_chain(const BlockHash& h) {
   const prof::Scope scope(cfg_.profiler, "replica.commit_chain");
-  if (committed_.count(hkey(h)) > 0 || h == genesis_hash()) return;
+  // Every other committed, retained block returns at the extends check
+  // below; blocks at or below the low-water mark return before it.
+  if (h == committed_tip_ || h == genesis_hash()) return;
   const Block* target = store_.get(h);
   if (target == nullptr) {
     // After checkpoint truncation an unknown hash can name a block at or
@@ -497,7 +494,6 @@ void ReplicaBase::commit_chain(const BlockHash& h) {
   for (const Block& b : store_.chain_between(h, committed_tip_)) {
     log_.push_back(b);
     ++committed_blocks_;
-    committed_.insert(hkey(b.hash()));
     mempool_.remove_committed(b);
     for (const Command& cmd : b.cmds) {
       // Committed membership-policy command: collect it; the active
@@ -879,7 +875,6 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
   std::size_t cmds_cut = 0;
   while (cut < log_.size() && log_[cut].height <= lwm_height_) {
     const Block& old = log_[cut];
-    committed_.erase(hkey(old.hash()));
     cmds_cut += old.cmds.size();
     for (const Command& c : old.cmds) {
       if (ClientRequest::decode(c.data).has_value()) {
@@ -889,6 +884,9 @@ void ReplicaBase::advance_low_water(const checkpoint::CheckpointCert& cert) {
     ++cut;
   }
   log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(cut));
+  std::erase_if(prof_block_cache_, [this](const auto& entry) {
+    return entry.second.height <= lwm_height_;
+  });
   if (app_ != nullptr && cmds_cut > 0) {
     // results_ holds one entry per executed command; GC in lockstep.
     results_.erase(results_.begin(),
@@ -1055,9 +1053,8 @@ void ReplicaBase::handle_state_response(const Msg& msg) {
   committed_tip_ = cert.id.block;
   committed_height_ = cert.id.height;
   committed_blocks_ = cert.id.height;  // one block per height since genesis
-  committed_.clear();
-  committed_.insert(hkey(cert.id.block));
   log_.clear();
+  prof_block_cache_.clear();
   results_.clear();
   executed_.clear();
   verified_.clear();  // pool state predating the snapshot is void
@@ -1321,7 +1318,7 @@ void ReplicaBase::handle_sync(NodeId from, const Msg& msg) {
   // state transfer take over.
   const auto deepest = store_.deepest_orphan();
   if (deepest.has_value() && !store_.contains(deepest->parent) &&
-      sync_requested_.insert(hkey(deepest->parent)).second) {
+      sync_requested_.insert(deepest->parent).second) {
     if (sync_started_ == 0) sync_started_ = sched_.now();
     Msg req = make_msg(MsgType::kSyncRequest, r_cur_, deepest->parent);
     send(from, req);

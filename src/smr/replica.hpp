@@ -143,6 +143,10 @@ class ReplicaBase : public net::FloodClient {
   [[nodiscard]] std::uint64_t current_view() const { return v_cur_; }
   [[nodiscard]] std::uint64_t current_round() const { return r_cur_; }
   [[nodiscard]] const BlockStore& store() const { return store_; }
+  /// Blocks in the flow hooks' sample cache (bounded by retained blocks).
+  [[nodiscard]] std::size_t prof_block_cache_entries() const {
+    return prof_block_cache_.size();
+  }
   [[nodiscard]] Mempool& mempool() { return mempool_; }
   [[nodiscard]] const Mempool& mempool() const { return mempool_; }
   [[nodiscard]] const BlockHash& committed_tip() const {
@@ -497,10 +501,9 @@ class ReplicaBase : public net::FloodClient {
 
   std::vector<Block> log_;
   std::uint64_t committed_blocks_ = 0;  ///< total ever (incl. truncated)
-  std::set<std::string> committed_;     // retained block hashes as strings
   BlockHash committed_tip_;
   std::uint64_t committed_height_ = 0;
-  std::set<std::string> sync_requested_;
+  std::set<BlockHash, BytesLess> sync_requested_;
   /// When the current chain-sync episode began (0 = none outstanding);
   /// the recovery clock for snapshot pushes answering a sync request.
   sim::SimTime sync_started_ = 0;
@@ -583,10 +586,13 @@ class ReplicaBase : public net::FloodClient {
   std::map<NodeId, std::uint64_t> flood_seen_;
   std::uint64_t early_drops_ = 0;
 
-  /// Sampled requests per block (keyed by block hash), so vote/commit
-  /// flow hooks do not re-decode every command on every call.
-  std::map<std::string, std::vector<std::pair<NodeId, std::uint64_t>>>
-      prof_block_cache_;
+  /// Sampled requests per block, so flow hooks do not re-decode its
+  /// commands per call; erased with the log prefix at the low-water mark.
+  struct SampledBlock {
+    std::uint64_t height = 0;
+    std::vector<std::pair<NodeId, std::uint64_t>> requests;
+  };
+  std::map<BlockHash, SampledBlock, BytesLess> prof_block_cache_;
 
   checkpoint::CheckpointManager ckpt_;
   std::uint64_t executed_cmds_ = 0;  ///< cumulative committed commands

@@ -239,6 +239,19 @@ TEST(AdversaryRegression, EesmrDeepCatchupRecoversWithoutCheckpoints) {
   EXPECT_GT(recovered_committed_ckpt, 20u);
 }
 
+// A PBFT replica that joins f+1 view changes counts its own message
+// first; that can complete the change, and entering the view erases the
+// tally the joining handler still held (a use-after-free that only the
+// sanitizer builds report). Pinned from the seed sweep
+// (tools/adversary_sweep): membership churn at seed 1038 takes that
+// path.
+TEST(AdversaryRegression, PbftViewChangeJoinThatCompletesTheChange) {
+  const Cell c = run_cell(Protocol::kPbft, AttackKind::kMembershipChurn, 1038);
+  EXPECT_TRUE(c.safety);
+  EXPECT_GT(c.view_changes, 0u);
+  EXPECT_GE(c.min_committed, kTarget);
+}
+
 // ---------------------------------------------------------------------------
 // Dedup state stays bounded under adversarial duplication/reordering
 // ---------------------------------------------------------------------------

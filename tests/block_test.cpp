@@ -149,6 +149,103 @@ TEST(BlockStore, ChainBetweenRejectsNonAncestor) {
                std::invalid_argument);
 }
 
+// Ancestry walks compare stored keys; after a re-root the walk must stop
+// at the new root, whose parent is gone.
+TEST(BlockStore, ReRootedStoreWalksStopAtRoot) {
+  const Block b1 = make_child(genesis_block(), 3, "a");
+  const Block b2 = make_child(b1, 4, "b");
+  const Block b3 = make_child(b2, 5, "c");
+  const Block b4 = make_child(b3, 6, "d");
+
+  // Checkpoint truncation of a connected chain.
+  BlockStore store;
+  for (const Block* b : {&b1, &b2, &b3, &b4}) ASSERT_TRUE(store.add(*b));
+  store.truncate_below(b2.hash());
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_FALSE(store.contains(genesis_hash()));
+  EXPECT_FALSE(store.contains(b1.hash()));
+  EXPECT_TRUE(store.extends(b4.hash(), b2.hash()));
+  EXPECT_FALSE(store.extends(b4.hash(), b1.hash()));
+  EXPECT_FALSE(store.extends(b4.hash(), genesis_hash()));
+  const auto chain = store.chain_between(b4.hash(), b2.hash());
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_EQ(chain[0], b3);
+  EXPECT_EQ(chain[1], b4);
+  EXPECT_THROW(store.chain_between(b4.hash(), b1.hash()),
+               std::invalid_argument);
+
+  // State transfer: the root arrives with no local ancestry at all.
+  BlockStore adopted;
+  adopted.adopt_root(b2);
+  adopted.truncate_below(b2.hash());
+  EXPECT_EQ(adopted.size(), 1u);
+  EXPECT_FALSE(adopted.add(b4));  // b3 still missing
+  ASSERT_TRUE(adopted.add(b3));
+  EXPECT_TRUE(adopted.extends(b3.hash(), b2.hash()));
+  EXPECT_FALSE(adopted.extends(b3.hash(), genesis_hash()));
+  EXPECT_FALSE(adopted.conflicts(b3.hash(), b2.hash()));
+  const auto tail = adopted.chain_between(b3.hash(), b2.hash());
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0], b3);
+  EXPECT_THROW(adopted.chain_between(b3.hash(), genesis_hash()),
+               std::invalid_argument);
+}
+
+// Siblings at height >= 2: the walk has to pass a shared ancestor other
+// than genesis before it can tell the branches apart.
+TEST(BlockStore, ForkAboveGenesis) {
+  BlockStore store;
+  const Block b1 = make_child(genesis_block(), 3, "a");
+  const Block b2 = make_child(b1, 4, "b");
+  const Block b3 = make_child(b2, 5, "c");
+  const Block c2 = make_child(b1, 4, "x");
+  const Block c3 = make_child(c2, 5, "y");
+  for (const Block* b : {&b1, &b2, &b3, &c2, &c3}) ASSERT_TRUE(store.add(*b));
+
+  EXPECT_TRUE(store.conflicts(b2.hash(), c2.hash()));
+  EXPECT_TRUE(store.conflicts(b3.hash(), c3.hash()));
+  EXPECT_TRUE(store.conflicts(b3.hash(), c2.hash()));
+  EXPECT_TRUE(store.conflicts(c3.hash(), b2.hash()));
+  EXPECT_FALSE(store.conflicts(b3.hash(), b1.hash()));
+  EXPECT_FALSE(store.conflicts(b3.hash(), b2.hash()));
+  EXPECT_FALSE(store.conflicts(c3.hash(), b1.hash()));
+  EXPECT_FALSE(store.conflicts(c3.hash(), c2.hash()));
+  EXPECT_FALSE(store.conflicts(c3.hash(), genesis_hash()));
+
+  const auto branch = store.chain_between(c3.hash(), b1.hash());
+  ASSERT_EQ(branch.size(), 2u);
+  EXPECT_EQ(branch[0], c2);
+  EXPECT_EQ(branch[1], c3);
+  EXPECT_THROW(store.chain_between(c3.hash(), b2.hash()),
+               std::invalid_argument);
+  EXPECT_THROW(store.chain_between(b3.hash(), c2.hash()),
+               std::invalid_argument);
+}
+
+TEST(BlockStore, AdoptOrphansConnectsSiblings) {
+  BlockStore store;
+  const Block b1 = make_child(genesis_block(), 3, "a");
+  const Block left = make_child(b1, 4, "l");
+  const Block right = make_child(b1, 4, "r");
+  store.add_orphan(left);
+  store.add_orphan(right);
+  ASSERT_TRUE(store.deepest_orphan().has_value());
+  EXPECT_EQ(store.deepest_orphan()->height, 2u);
+  EXPECT_TRUE(store.adopt_orphans().empty());  // b1 still missing
+
+  ASSERT_TRUE(store.add(b1));
+  const auto adopted = store.adopt_orphans();
+  ASSERT_EQ(adopted.size(), 2u);
+  EXPECT_NE(adopted[0], adopted[1]);
+  for (const Block& b : adopted) {
+    EXPECT_TRUE(b == left || b == right);
+    EXPECT_TRUE(store.extends(b.hash(), b1.hash()));
+  }
+  EXPECT_EQ(store.orphan_count(), 0u);
+  EXPECT_FALSE(store.deepest_orphan().has_value());
+  EXPECT_TRUE(store.conflicts(left.hash(), right.hash()));
+}
+
 // -- Mempool ----------------------------------------------------------------------
 
 TEST(Mempool, ExplicitSubmission) {

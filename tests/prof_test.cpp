@@ -6,6 +6,7 @@
 // drop filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,41 @@ TEST(Prof, SampledRequestsFlowSubmitToAccept) {
   EXPECT_NE(text.find("\"pooled\""), std::string::npos);
   EXPECT_NE(text.find("\"commit\""), std::string::npos);
   EXPECT_NE(text.find("\"bp\""), std::string::npos);  // binding point
+}
+
+// The flow hooks' per-block sample cache is trimmed with the log prefix:
+// across checkpoints it never outgrows the blocks the replica retains.
+TEST(Prof, BlockSampleCacheBoundedByRetainedBlocks) {
+  for (const Protocol p : {Protocol::kEesmr, Protocol::kSyncHotStuff}) {
+    SCOPED_TRACE(harness::protocol_name(p));
+    ClusterConfig cfg = client_cfg(p, 5);
+    cfg.trace_requests = 8;
+    cfg.checkpoint_interval = 4;
+    obs::Tracer tracer;
+    cfg.tracer = &tracer;
+    harness::Cluster cluster(cfg);
+    std::size_t max_entries = 0;
+    std::vector<std::uint64_t> lwm(cfg.n, 0);
+    std::vector<int> advances(cfg.n, 0);
+    for (int step = 0; step < 40; ++step) {
+      (void)cluster.run_for(sim::milliseconds(250));
+      for (NodeId i = 0; i < cfg.n; ++i) {
+        const smr::ReplicaBase& r = cluster.replica(i);
+        EXPECT_LE(r.prof_block_cache_entries(), r.store().size())
+            << "replica " << i << " step " << step;
+        max_entries = std::max(max_entries, r.prof_block_cache_entries());
+        if (r.low_water_mark() > lwm[i]) {
+          lwm[i] = r.low_water_mark();
+          ++advances[i];
+        }
+      }
+    }
+    EXPECT_GT(max_entries, 0u);  // the cache was in use
+    for (NodeId i = 0; i < cfg.n; ++i) {
+      // The bound held across at least two truncations.
+      EXPECT_GE(advances[i], 2) << "replica " << i;
+    }
+  }
 }
 
 // Attribution is a per-frame share of one-hop send+recv energy, so the
